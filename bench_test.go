@@ -119,13 +119,13 @@ func BenchmarkKernelUnison4(b *testing.B) {
 func BenchmarkKernelBarrier(b *testing.B) {
 	ft := unison.BuildFatTree(unison.FatTreeK(4, 10*unison.Gbps, 3*unison.Microsecond))
 	manual := pdes.FatTreeManual(ft, 4)
-	benchKernel(b, func() sim.Kernel { return &pdes.BarrierKernel{LPOf: manual} })
+	benchKernel(b, func() sim.Kernel { return &pdes.BarrierKernel{Part: core.Manual(manual, ft.LinkInfos())} })
 }
 
 func BenchmarkKernelNullMessage(b *testing.B) {
 	ft := unison.BuildFatTree(unison.FatTreeK(4, 10*unison.Gbps, 3*unison.Microsecond))
 	manual := pdes.FatTreeManual(ft, 4)
-	benchKernel(b, func() sim.Kernel { return &pdes.NullMessageKernel{LPOf: manual} })
+	benchKernel(b, func() sim.Kernel { return &pdes.NullMessageKernel{Part: core.Manual(manual, ft.LinkInfos())} })
 }
 
 func BenchmarkKernelHybrid(b *testing.B) {

@@ -100,6 +100,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 	ft := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
 	lpOf := pdes.FatTreeManual(ft, 2)
+	part := core.Manual(lpOf, ft.LinkInfos())
 
 	cases := []struct {
 		kernel    sim.Kernel
@@ -110,8 +111,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		{core.New(core.Config{Threads: 2}), 100, 0},
 		{core.New(core.Config{Threads: 4}), 100, 0},
 		{core.NewHybrid(core.HybridConfig{HostOf: lpOf, ThreadsPerHost: 2}), 100, 0},
-		{&pdes.BarrierKernel{LPOf: lpOf}, 100, 0},
-		{&pdes.NullMessageKernel{LPOf: lpOf}, 0, 400 * sim.Microsecond},
+		{&pdes.BarrierKernel{Part: part}, 100, 0},
+		{&pdes.NullMessageKernel{Part: part}, 0, 400 * sim.Microsecond},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -142,9 +143,10 @@ func TestCheckpointCrossKernelRestore(t *testing.T) {
 
 	ft := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
 	lpOf := pdes.FatTreeManual(ft, 2)
+	part := core.Manual(lpOf, ft.LinkInfos())
 
 	dir := t.TempDir()
-	ckptRunArtifacts(t, &pdes.NullMessageKernel{LPOf: lpOf}, dir, 0, 400*sim.Microsecond, "")
+	ckptRunArtifacts(t, &pdes.NullMessageKernel{Part: part}, dir, 0, 400*sim.Microsecond, "")
 	files := ckptFiles(t, dir)
 	if len(files) < 2 {
 		t.Fatalf("want >=2 checkpoints, got %d", len(files))
@@ -155,7 +157,7 @@ func TestCheckpointCrossKernelRestore(t *testing.T) {
 		des.New(),
 		core.New(core.Config{Threads: 2}),
 		core.NewHybrid(core.HybridConfig{HostOf: lpOf, ThreadsPerHost: 2}),
-		&pdes.BarrierKernel{LPOf: lpOf},
+		&pdes.BarrierKernel{Part: part},
 	} {
 		restored := ckptRunArtifacts(t, k, "", 0, 0, mid)
 		compareArtifacts(t, k.Name()+" resuming a nullmsg snapshot", restored, base)

@@ -152,8 +152,9 @@ func kernels() map[string]func() sim.Kernel {
 	}
 	if b.ManualFor != nil {
 		manual4, manual2 := b.ManualFor(4), b.ManualFor(2)
-		ks["Barrier"] = func() sim.Kernel { return &pdes.BarrierKernel{LPOf: manual4, Observe: benchProbe} }
-		ks["NullMessage"] = func() sim.Kernel { return &pdes.NullMessageKernel{LPOf: manual4, Observe: benchProbe} }
+		part4 := core.Manual(manual4, b.G.LinkInfos())
+		ks["Barrier"] = func() sim.Kernel { return &pdes.BarrierKernel{Part: part4, Observe: benchProbe} }
+		ks["NullMessage"] = func() sim.Kernel { return &pdes.NullMessageKernel{Part: part4, Observe: benchProbe} }
 		ks["Hybrid"] = func() sim.Kernel {
 			return core.NewHybrid(core.HybridConfig{HostOf: manual2, ThreadsPerHost: 2, Observe: benchProbe})
 		}

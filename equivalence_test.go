@@ -90,7 +90,7 @@ func TestCrossKernelEquivalence(t *testing.T) {
 		core.New(core.Config{Threads: 4}),
 		core.New(core.Config{Threads: 4, Metric: core.MetricPendingEvents}),
 		core.New(core.Config{Threads: 4, Metric: core.MetricNone}),
-		&pdes.BarrierKernel{LPOf: manual},
+		&pdes.BarrierKernel{Part: core.Manual(manual, ft.LinkInfos())},
 		core.NewHybrid(core.HybridConfig{HostOf: manual, ThreadsPerHost: 2}),
 		vtimeKernel{vtime.Config{Algo: vtime.Sequential}},
 		vtimeKernel{vtime.Config{Algo: vtime.Barrier, LPOf: manual}},
@@ -111,7 +111,7 @@ func TestCrossKernelEquivalence(t *testing.T) {
 	// The null-message kernels do not execute the stop global event
 	// (one event fewer) but must produce the same simulation results.
 	nm := []sim.Kernel{
-		&pdes.NullMessageKernel{LPOf: manual},
+		&pdes.NullMessageKernel{Part: core.Manual(manual, ft.LinkInfos())},
 		vtimeKernel{vtime.Config{Algo: vtime.NullMessage, LPOf: manual}},
 	}
 	for _, k := range nm {

@@ -1,6 +1,5 @@
 // Fixture: a stand-in for the repository root package, declaring the
-// compatibility-only constructors and the traffic facade alias the
-// deprecated analyzer polices.
+// traffic facade alias the deprecated analyzer polices.
 package unison
 
 import "unison/internal/traffic"
@@ -8,18 +7,3 @@ import "unison/internal/traffic"
 // GenerateTraffic is the facade's var alias for traffic.Generate —
 // banned in cmd/ (the declaring package and libraries may use it).
 var GenerateTraffic = traffic.Generate
-
-type Kernel interface{ Run() }
-
-type barrier struct{}
-
-func (barrier) Run() {}
-
-// NewBarrierManual survives for external callers holding a raw []int32.
-func NewBarrierManual(lpOf []int32) Kernel { return barrier{} }
-
-// NewNullMessageManual survives for external callers holding a raw []int32.
-func NewNullMessageManual(lpOf []int32) Kernel { return barrier{} }
-
-// NewBarrier is the typed-partition replacement.
-func NewBarrier() Kernel { return barrier{} }

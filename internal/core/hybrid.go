@@ -3,18 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"unison/internal/ckpt"
-	"unison/internal/eventq"
-	"unison/internal/metrics"
 	"unison/internal/obs"
 	"unison/internal/sim"
-	"unison/internal/syncx"
 )
 
 // HybridConfig parameterizes the scalable hybrid kernel of §5.2: the
@@ -40,7 +31,8 @@ type HybridConfig struct {
 	Observe obs.Probe
 }
 
-// HybridKernel is the multi-host Unison kernel.
+// HybridKernel is the multi-host Unison kernel: the round engine with one
+// worker group per simulation host.
 type HybridKernel struct {
 	cfg HybridConfig
 }
@@ -103,411 +95,34 @@ func (k *HybridKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	links := m.Links()
-	lpOf, hostOfLP, lookahead, err := HybridPartition(m.Nodes, k.cfg.HostOf, links)
+	pol, err := HybridPolicy(m, k.cfg.HostOf, k.cfg.ThreadsPerHost)
 	if err != nil {
 		return nil, err
 	}
+	pol.Name = k.Name()
+	pol.Metric, pol.Period = k.cfg.Metric, k.cfg.Period
+	pol.MaxRounds, pol.Observe = k.cfg.MaxRounds, k.cfg.Observe
+	return pol.Run(m)
+}
+
+// HybridPolicy partitions m within the hosts of hostOf (HybridPartition)
+// and makes every host a group of threadsPerHost workers over its own LPs.
+func HybridPolicy(m *sim.Model, hostOf []int32, threadsPerHost int) (Policy, error) {
+	lpOf, hostOfLP, lookahead, err := HybridPartition(m.Nodes, hostOf, m.Links())
+	if err != nil {
+		return Policy{}, err
+	}
 	hosts := 0
-	for _, h := range k.cfg.HostOf {
-		if int(h)+1 > hosts {
-			hosts = int(h) + 1
-		}
+	for _, h := range hostOf {
+		hosts = max(hosts, int(h)+1)
 	}
-	part := &Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead}
-	tph := k.cfg.ThreadsPerHost
-	workers := hosts * tph
-
-	r := &hrt{
-		k:            k,
-		m:            m,
-		part:         part,
-		hostOfLP:     hostOfLP,
-		hosts:        hosts,
-		tph:          tph,
-		lps:          make([]lpState, part.Count),
-		pub:          eventq.New(16),
-		seqs:         sim.NewSeqTable(m.Nodes),
-		lookahead:    lookahead,
-		perWorkerMin: make([]sim.Time, workers),
-		workers:      make([]workerState, workers),
-		cursor1:      make([]atomic.Int64, hosts),
-		cursor3:      make([]atomic.Int64, hosts),
-		hostLPs:      make([][]int32, hosts),
+	p := Policy{
+		Part:    &Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead},
+		GroupOf: hostOfLP,
+		Workers: make([]int, hosts),
 	}
-	for i := range r.lps {
-		r.lps[i].fel = eventq.New(64)
-		r.hostLPs[hostOfLP[i]] = append(r.hostLPs[hostOfLP[i]], int32(i))
+	for h := range p.Workers {
+		p.Workers[h] = threadsPerHost
 	}
-	r.outboxes = make([]outbox, workers)
-	for w := range r.outboxes {
-		r.outboxes[w] = newOutbox(part.Count)
-	}
-	r.order = make([][]int32, hosts)
-	for h := 0; h < hosts; h++ {
-		r.order[h] = append([]int32(nil), r.hostLPs[h]...)
-	}
-	r.period = uint64(k.cfg.Period)
-	if r.period == 0 {
-		r.period = 1
-		if part.Count > 1 {
-			r.period = uint64(bits.Len(uint(part.Count - 1)))
-		}
-	}
-	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
-		ks := hook.Restore
-		if len(ks.Seqs) != len(r.seqs) {
-			return nil, fmt.Errorf("core: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(r.seqs))
-		}
-		copy(r.seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.lps[lpOf[ev.Node]].fel.Push(ev)
-			}
-		}
-		r.round, r.baseEvents, r.baseEnd = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.lps[lpOf[ev.Node]].fel.Push(ev)
-			}
-		}
-	}
-	obs.Begin(k.cfg.Observe, obs.RunMeta{Kernel: k.Name(), Workers: workers, LPs: part.Count})
-	allMin := sim.MaxTime
-	for i := range r.lps {
-		if t := r.lps[i].fel.NextTime(); t < allMin {
-			allMin = t
-		}
-	}
-	r.lbts = eq2(allMin, r.pub.NextTime(), r.lookahead)
-	if r.lbts == sim.MaxTime && r.pub.Empty() {
-		st := r.stats(start)
-		obs.End(k.cfg.Observe, st)
-		return st, nil
-	}
-
-	bar := syncx.NewBarrier(workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r.workerLoop(w, bar)
-		}(w)
-	}
-	r.workerLoop(0, bar)
-	wg.Wait()
-	st := r.stats(start)
-	obs.End(k.cfg.Observe, st)
-	return st, r.err
-}
-
-// hrt is the hybrid runtime: Unison's rt with host-scoped scheduling.
-type hrt struct {
-	k        *HybridKernel
-	m        *sim.Model
-	part     *Partition
-	hostOfLP []int32
-	hosts    int
-	tph      int
-
-	lps      []lpState
-	outboxes []outbox
-	pub      *eventq.Queue
-	seqs     sim.SeqTable
-
-	lbts      sim.Time
-	lookahead sim.Time
-
-	hostLPs [][]int32
-	order   [][]int32
-	cursor1 []atomic.Int64
-	cursor3 []atomic.Int64
-
-	perWorkerMin []sim.Time
-	stopped      bool
-	done         bool
-	err          error
-	round        uint64
-	period       uint64
-
-	// baseEvents/baseEnd are the restored-from-checkpoint offsets, so a
-	// resumed run's RunStats match an uninterrupted one.
-	baseEvents uint64
-	baseEnd    sim.Time
-
-	workers []workerState
-}
-
-type hybridSink struct {
-	rt    *hrt
-	w     int
-	curLP int32
-}
-
-func (s *hybridSink) Put(ev sim.Event) {
-	tgt := s.rt.part.LPOf[ev.Node]
-	if s.curLP < 0 || tgt == s.curLP {
-		s.rt.lps[tgt].fel.Push(ev)
-		return
-	}
-	if ev.Time < s.rt.lbts {
-		panic(fmt.Sprintf("core: hybrid causality violation: cross-LP event at %v inside window ending %v", ev.Time, s.rt.lbts))
-	}
-	s.rt.outboxes[s.w].put(tgt, ev)
-}
-
-func (s *hybridSink) PutGlobal(ev sim.Event) {
-	if s.curLP >= 0 {
-		panic("core: global events may only be scheduled at setup or from other global events")
-	}
-	s.rt.pub.Push(ev)
-}
-
-func (r *hrt) workerLoop(w int, bar *syncx.Barrier) {
-	host := w / r.tph
-	sink := &hybridSink{rt: r, w: w}
-	ctx := sim.NewCtx(sink, w)
-	ws := &r.workers[w]
-	ob := &r.outboxes[w]
-	timed := r.k.cfg.Metric == MetricPrevTime
-	probe := r.k.cfg.Observe
-	var clock lpClock
-	var recv []sim.Event // phase-3 gather scratch, reused across rounds
-	// rec escapes through the probe interface call; hoisted so the
-	// allocation is per run, not per round (probes copy the pointee).
-	var rec obs.RoundRecord
-	var sw metrics.Stopwatch
-	sw.Start()
-
-	for {
-		// Stable here: both are only written in phase-4's serial section.
-		roundIdx := r.round
-		roundLBTS := r.lbts
-		evStart := ws.events
-		var migrations uint64
-		// Phase 1: pull LPs of this worker's host only.
-		ob.reset()
-		order := r.order[host]
-		nLP := int64(len(order))
-		if timed {
-			clock.start()
-		}
-		for {
-			i := r.cursor1[host].Add(1) - 1
-			if i >= nLP {
-				break
-			}
-			lpIdx := order[i]
-			lp := &r.lps[lpIdx]
-			sink.curLP = lpIdx
-			var nev int64
-			for {
-				ev, ok := lp.fel.PopBefore(r.lbts)
-				if !ok {
-					break
-				}
-				ctx.Begin(&ev, r.seqs.Of(ev.Node))
-				ev.Fn(ctx)
-				nev++
-				ws.lastT = ev.Time
-			}
-			ws.events += uint64(nev)
-			if timed && clock.note(lpIdx, nev) {
-				clock.flush(r.lps)
-			}
-			if probe != nil && nev > 0 {
-				if lp.lastW != 0 && lp.lastW != int32(w)+1 {
-					migrations++
-				}
-				lp.lastW = int32(w) + 1
-			}
-		}
-		if timed {
-			clock.flush(r.lps)
-		}
-		p1 := sw.Lap()
-		ws.p += p1
-		sends := uint64(len(ob.buf))
-		// Phase 2 fuses into the barrier: the last worker to arrive
-		// handles public-LP events with every host quiescent, then
-		// prepares the receive phase before anyone is released.
-		bar.WaitSerial(func() {
-			sink.curLP = -1
-			executed := false
-			for !r.pub.Empty() && r.pub.Peek().Time == r.lbts {
-				ev := r.pub.Pop()
-				ctx.Begin(&ev, r.seqs.Of(sim.GlobalNode))
-				ev.Fn(ctx)
-				ws.events++
-				ws.lastT = ev.Time
-				executed = true
-			}
-			if executed {
-				r.lookahead = CutLookahead(r.part.LPOf, r.m.Links())
-				if ctx.Stopped() {
-					r.stopped = true
-				}
-			}
-			for h := 0; h < r.hosts; h++ {
-				r.cursor3[h].Store(0)
-			}
-		})
-		s1 := sw.Lap()
-		ws.s += s1
-
-		// Phase 3: gather staged events for this host's LPs (intra- and
-		// inter-host events arrive the same way: shared memory).
-		locMin := sim.MaxTime
-		hostList := r.hostLPs[host]
-		n3 := int64(len(hostList))
-		var recvd, depth uint64
-		for {
-			i := r.cursor3[host].Add(1) - 1
-			if i >= n3 {
-				break
-			}
-			lpIdx := hostList[i]
-			lp := &r.lps[lpIdx]
-			recv = gather(r.outboxes, lpIdx, recv[:0]) //unison:owner transfer phase-2 barrier published every worker's phase-1 puts
-			lp.pending = int64(len(recv))
-			lp.fel.PushBatch(recv)
-			if t := lp.fel.NextTime(); t < locMin {
-				locMin = t
-			}
-			if probe != nil {
-				recvd += uint64(len(recv))
-				depth += uint64(lp.fel.Len())
-			}
-		}
-		r.perWorkerMin[w] = locMin
-		mNS := sw.Lap()
-		ws.m += mNS
-		// Phase 4, the all-reduce, fuses into the barrier: the last
-		// arriver folds every host's minimum and broadcasts the next
-		// window before anyone is released.
-		bar.WaitSerial(func() { r.phase4() })
-		s2 := sw.Lap()
-		ws.s += s2
-		if probe != nil {
-			rec = obs.RoundRecord{
-				Round: roundIdx, Worker: int32(w), LBTS: roundLBTS,
-				Events: ws.events - evStart,
-				ProcNS: p1, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1,
-				Sends: sends, SendBytes: sends * obs.EventBytes,
-				Recvs: recvd, FELDepth: depth, Migrations: migrations,
-			}
-			probe.OnRound(&rec)
-		}
-		if r.done {
-			return
-		}
-	}
-}
-
-func (r *hrt) phase4() {
-	allMin := sim.MaxTime
-	for _, t := range r.perWorkerMin {
-		if t < allMin {
-			allMin = t
-		}
-	}
-	pubNext := r.pub.NextTime()
-	r.round++
-	switch {
-	case r.stopped:
-		r.done = true
-	case allMin == sim.MaxTime && pubNext == sim.MaxTime:
-		r.done = true
-	case r.k.cfg.MaxRounds > 0 && r.round >= r.k.cfg.MaxRounds:
-		r.done = true
-		r.err = errors.New("core: MaxRounds exceeded")
-	default:
-		r.lbts = eq2(allMin, pubNext, r.lookahead)
-		if hook := r.m.Ckpt; hook.SaveEvery(r.round) {
-			// Same quiescent point as the single-host kernel: the all-reduce
-			// serial section with every host's workers parked.
-			if err := r.saveCkpt(); err != nil {
-				r.err = err
-				r.done = true
-			}
-		}
-		if r.k.cfg.Metric != MetricNone && r.round%r.period == 0 {
-			for i := range r.lps {
-				lp := &r.lps[i]
-				if r.k.cfg.Metric == MetricPrevTime {
-					lp.est = lp.lastP
-				} else {
-					lp.est = lp.pending
-				}
-			}
-			for h := 0; h < r.hosts; h++ {
-				ord := r.order[h]
-				sort.SliceStable(ord, func(a, b int) bool {
-					return r.lps[ord[a]].est > r.lps[ord[b]].est
-				})
-			}
-		}
-		for h := 0; h < r.hosts; h++ {
-			r.cursor1[h].Store(0)
-		}
-	}
-}
-
-// saveCkpt snapshots the merged FELs through the model's checkpoint
-// hook. Only called from the phase-4 serial section.
-func (r *hrt) saveCkpt() error {
-	var queue []sim.Event
-	for i := range r.lps {
-		queue = r.lps[i].fel.Snapshot(queue)
-	}
-	queue = r.pub.Snapshot(queue)
-	if err := ckpt.CheckQueue(queue); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	ks := &sim.KernelState{
-		Round:   r.round,
-		Now:     r.lbts,
-		EndTime: r.baseEnd,
-		Events:  r.baseEvents,
-		Seqs:    append([]uint64(nil), r.seqs...),
-		Queue:   queue,
-	}
-	for i := range r.workers {
-		ks.Events += r.workers[i].events
-		if t := r.workers[i].lastT; t > ks.EndTime {
-			ks.EndTime = t
-		}
-	}
-	if err := r.m.Ckpt.Save(ks); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (r *hrt) stats(start time.Time) *sim.RunStats {
-	st := &sim.RunStats{
-		Kernel:  r.k.Name(),
-		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		Rounds:  r.round,
-		LPs:     r.part.Count,
-		Workers: make([]sim.WorkerStats, len(r.workers)),
-	}
-	st.Events = r.baseEvents
-	st.EndTime = r.baseEnd
-	for i := range r.workers {
-		w := &r.workers[i]
-		st.Events += w.events
-		if w.lastT > st.EndTime {
-			st.EndTime = w.lastT
-		}
-		st.Workers[i] = sim.WorkerStats{P: w.p, S: w.s, M: w.m, Events: w.events}
-	}
-	return st
+	return p, nil
 }

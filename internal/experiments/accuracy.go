@@ -174,14 +174,14 @@ func fig11(cfg Config) (*Table, error) {
 		Columns: []string{"kernel", "epoch", "events", "fingerprint", "meanFCT(ms)"},
 	}
 	ftTopo := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
-	manual := pdes.FatTreeManual(ftTopo, 4)
+	manual := core.Manual(pdes.FatTreeManual(ftTopo, 4), ftTopo.LinkInfos())
 	kernels := []struct {
 		name string
 		mk   func() sim.Kernel
 	}{
 		{"sequential", func() sim.Kernel { return des.New() }},
-		{"barrier", func() sim.Kernel { return &pdes.BarrierKernel{LPOf: manual} }},
-		{"nullmsg", func() sim.Kernel { return &pdes.NullMessageKernel{LPOf: manual} }},
+		{"barrier", func() sim.Kernel { return &pdes.BarrierKernel{Part: manual} }},
+		{"nullmsg", func() sim.Kernel { return &pdes.NullMessageKernel{Part: manual} }},
 		{"unison(2)", func() sim.Kernel { return core.New(core.Config{Threads: 2}) }},
 		{"unison(4)", func() sim.Kernel { return core.New(core.Config{Threads: 4}) }},
 		{"unison(8)", func() sim.Kernel { return core.New(core.Config{Threads: 8}) }},

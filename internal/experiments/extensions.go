@@ -56,18 +56,20 @@ func memoryExp(cfg Config) (*Table, error) {
 	manual := manualFatTree(k, k, 10_000_000_000, 3*sim.Microsecond)
 	kernels := []struct {
 		name string
-		mk   func() sim.Kernel
+		mk   func(m *sim.Model) sim.Kernel
 		mpi  bool
 	}{
-		{"sequential", func() sim.Kernel { return des.New() }, false},
-		{"unison(8)", func() sim.Kernel { return core.New(core.Config{Threads: 8}) }, false},
-		{"barrier(8)", func() sim.Kernel { return &pdes.BarrierKernel{LPOf: manual} }, true},
+		{"sequential", func(*sim.Model) sim.Kernel { return des.New() }, false},
+		{"unison(8)", func(*sim.Model) sim.Kernel { return core.New(core.Config{Threads: 8}) }, false},
+		{"barrier(8)", func(m *sim.Model) sim.Kernel {
+			return &pdes.BarrierKernel{Part: core.Manual(manual, m.Links())}
+		}, true},
 	}
 	var seqMB float64
 	for i, kn := range kernels {
 		sc := spec.build()
 		m := sc.Model()
-		kern := kn.mk()
+		kern := kn.mk(m)
 		mb := allocMB(func() {
 			if _, err := kern.Run(m); err != nil {
 				panic(err)

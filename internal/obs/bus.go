@@ -49,6 +49,11 @@ type Sub struct {
 	ch    chan BusEvent
 	drops atomic.Uint64
 	bus   *Bus
+	// mu orders sends against the close of ch: publishers hold it shared
+	// around a send, unsubscribe exclusively around the close, and closed
+	// tells a publisher that got in afterwards to skip the send.
+	mu     sync.RWMutex
+	closed bool
 }
 
 // C returns the subscription's event channel. It is closed by Close (or
@@ -140,7 +145,10 @@ func (b *Bus) unsubscribe(s *Sub) {
 	}
 	b.mu.Unlock()
 	if found {
+		s.mu.Lock()
+		s.closed = true
 		close(s.ch)
+		s.mu.Unlock()
 	}
 }
 
@@ -158,14 +166,25 @@ func (b *Bus) publish(ev BusEvent) {
 	b.publishTo(*subs, ev)
 }
 
+// publishTo sends ev to each of subs without blocking. A publisher may
+// still hold a subscriber that unsubscribe has just removed; the
+// subscriber's lock keeps that send off the closed channel. TryRLock
+// fails only while the subscriber is being closed, and a leaving
+// subscriber needs no more events, so publish never waits.
 func (b *Bus) publishTo(subs []*Sub, ev BusEvent) {
 	for _, s := range subs {
-		select {
-		case s.ch <- ev:
-		default:
-			s.drops.Add(1)
-			b.drops.Add(1)
+		if !s.mu.TryRLock() {
+			continue
 		}
+		if !s.closed {
+			select {
+			case s.ch <- ev:
+			default:
+				s.drops.Add(1)
+				b.drops.Add(1)
+			}
+		}
+		s.mu.RUnlock()
 	}
 }
 

@@ -27,12 +27,9 @@ import (
 // have no coordination point at which to run arbitrary global events.
 // Models using dynamic topologies must use Unison.
 type NullMessageKernel struct {
-	// Part is the preferred typed partition (rank assignment + lookahead).
-	// When set it takes precedence over LPOf.
+	// Part is the static rank assignment and its lookahead
+	// (core.Manual, or a recipe from partition.go).
 	Part *core.Partition
-	// LPOf is the manual node→rank assignment. Deprecated in favour of
-	// Part; kept so existing call sites keep compiling.
-	LPOf []int32
 	// CacheWays enables the cache-locality model when positive.
 	CacheWays int
 	// Observe, when non-nil, receives one obs.RoundRecord per rank per
@@ -133,14 +130,8 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
 	links := m.Links()
 	part := k.Part
-	if part == nil {
-		if len(k.LPOf) != m.Nodes {
-			return nil, errors.New("pdes: NullMessageKernel requires a manual partition covering every node")
-		}
-		part = core.Manual(k.LPOf, links)
-	}
-	if len(part.LPOf) != m.Nodes {
-		return nil, errors.New("pdes: NullMessageKernel partition does not cover every node")
+	if part == nil || len(part.LPOf) != m.Nodes {
+		return nil, errors.New("pdes: NullMessageKernel requires a manual partition covering every node")
 	}
 	n := part.Count
 

@@ -3,6 +3,7 @@ package pdes
 import (
 	"testing"
 
+	"unison/internal/core"
 	"unison/internal/des"
 	"unison/internal/netdev"
 	"unison/internal/routing"
@@ -46,9 +47,14 @@ func pingModel(delay sim.Time, count int) (*sim.Model, *int) {
 	}, hits
 }
 
+// manualPart wraps a node→rank assignment of m into a typed partition.
+func manualPart(lpOf []int32, m *sim.Model) *core.Partition {
+	return core.Manual(lpOf, m.Links())
+}
+
 func TestBarrierPingPong(t *testing.T) {
 	m, hits := pingModel(100, 50)
-	st, err := (&BarrierKernel{LPOf: []int32{0, 1}}).Run(m)
+	st, err := (&BarrierKernel{Part: manualPart([]int32{0, 1}, m)}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,7 @@ func TestBarrierPingPong(t *testing.T) {
 
 func TestNullMessagePingPong(t *testing.T) {
 	m, hits := pingModel(100, 50)
-	st, err := (&NullMessageKernel{LPOf: []int32{0, 1}}).Run(m)
+	st, err := (&NullMessageKernel{Part: manualPart([]int32{0, 1}, m)}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +87,7 @@ func TestNullMessagePingPong(t *testing.T) {
 func TestNullMessageRequiresStopAt(t *testing.T) {
 	m, _ := pingModel(100, 10)
 	m.StopAt = 0
-	if _, err := (&NullMessageKernel{LPOf: []int32{0, 1}}).Run(m); err == nil {
+	if _, err := (&NullMessageKernel{Part: manualPart([]int32{0, 1}, m)}).Run(m); err == nil {
 		t.Fatal("missing StopAt accepted")
 	}
 }
@@ -95,17 +101,18 @@ func TestNullMessageRejectsForeignGlobals(t *testing.T) {
 		extra[i].Seq = uint64(len(m.Init) + i)
 	}
 	m.Init = append(m.Init, extra...)
-	if _, err := (&NullMessageKernel{LPOf: []int32{0, 1}}).Run(m); err == nil {
+	if _, err := (&NullMessageKernel{Part: manualPart([]int32{0, 1}, m)}).Run(m); err == nil {
 		t.Fatal("non-stop global event accepted")
 	}
 }
 
 func TestBarrierRequiresFullPartition(t *testing.T) {
 	m, _ := pingModel(100, 10)
-	if _, err := (&BarrierKernel{LPOf: []int32{0}}).Run(m); err == nil {
+	short := &core.Partition{LPOf: []int32{0}, Count: 1}
+	if _, err := (&BarrierKernel{Part: short}).Run(m); err == nil {
 		t.Fatal("short partition accepted")
 	}
-	if _, err := (&NullMessageKernel{LPOf: []int32{0}}).Run(m); err == nil {
+	if _, err := (&NullMessageKernel{Part: short}).Run(m); err == nil {
 		t.Fatal("short partition accepted by null message")
 	}
 }
@@ -135,7 +142,7 @@ func TestBarrierMatchesSequentialOnTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	mBar, monBar, lpOf := tcpScenario(4)
-	if _, err := (&BarrierKernel{LPOf: lpOf}).Run(mBar); err != nil {
+	if _, err := (&BarrierKernel{Part: manualPart(lpOf, mBar)}).Run(mBar); err != nil {
 		t.Fatal(err)
 	}
 	if monSeq.Fingerprint() != monBar.Fingerprint() {
@@ -149,7 +156,7 @@ func TestNullMessageMatchesSequentialOnTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	mNM, monNM, lpOf := tcpScenario(2)
-	if _, err := (&NullMessageKernel{LPOf: lpOf}).Run(mNM); err != nil {
+	if _, err := (&NullMessageKernel{Part: manualPart(lpOf, mNM)}).Run(mNM); err != nil {
 		t.Fatal(err)
 	}
 	if monSeq.Fingerprint() != monNM.Fingerprint() {
@@ -227,7 +234,7 @@ func TestNullMessageDisconnectedRanks(t *testing.T) {
 	s.At(0, a1, func(ctx *sim.Ctx) { hitsA++ })
 	s.At(50, b1, func(ctx *sim.Ctx) { hitsB++ })
 	m := &sim.Model{Nodes: 4, Links: g.LinkInfos, Init: s.Events(), StopAt: 1000}
-	st, err := (&NullMessageKernel{LPOf: []int32{0, 0, 1, 1}}).Run(m)
+	st, err := (&NullMessageKernel{Part: manualPart([]int32{0, 0, 1, 1}, m)}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestBarrierSingleRank(t *testing.T) {
 	// Degenerate single-rank partition: the kernel must behave like
 	// sequential DES (lookahead = infinity, one giant round per window).
 	m, hits := pingModel(100, 30)
-	st, err := (&BarrierKernel{LPOf: []int32{0, 0}}).Run(m)
+	st, err := (&BarrierKernel{Part: manualPart([]int32{0, 0}, m)}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,18 @@
-// Package vtime is the virtual testbed: it executes the same partition,
-// window, mailbox and scheduling algorithms as the live kernels, but on a
-// single real thread, with every virtual worker/rank owning a virtual
-// clock advanced by a calibrated per-event cost model. Round makespans,
-// the P/S/M decomposition, and speedups are therefore computed exactly
-// and deterministically for any requested core count — the substitution
-// for the paper's 16–144-core testbeds (DESIGN.md §1).
+// Package vtime is the virtual testbed: it runs a model on the same
+// round engine as the live kernels (internal/core), under the engine's
+// virtual executor. That executor runs on one real thread and gives every
+// virtual worker its own clock, advanced by a calibrated per-event cost
+// model instead of real time. Round makespans, the P/S/M decomposition,
+// and speedups are therefore computed exactly and deterministically for
+// any requested core count — the substitution for the paper's
+// 16–144-core testbeds (DESIGN.md §1). Because the partition, the worker
+// groups, the window and the scheduler are the live kernels' own, the
+// modeled figures describe the program that actually runs.
 //
 // The simulation itself is executed for real (every event callback runs),
 // so the virtual run produces the same simulation results as the live
-// kernels; only the time accounting is modeled.
+// kernels; only the time accounting is modeled. The null-message
+// baseline has no rounds; nullmsg.go models it as a meta-simulation.
 package vtime
 
 import (
@@ -105,30 +109,110 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 		return nil, errors.New("vtime: the virtual testbed does not support checkpoint/restore")
 	}
 	cfg.Cost.fillDefaults()
-	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	var st *sim.RunStats
-	var err error
-	switch cfg.Algo {
-	case Sequential:
-		st, err = runSequential(m, cfg)
-	case Barrier:
-		st, err = runBarrier(m, cfg)
-	case NullMessage:
-		st, err = runNullMessage(m, cfg)
-	case Unison:
-		st, err = runUnison(m, cfg)
-	case Hybrid:
-		st, err = runHybrid(m, cfg)
-	default:
-		return nil, errors.New("vtime: unknown algorithm")
-	}
-	if st != nil {
+	if cfg.Algo == NullMessage {
+		start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+		st, err := runNullMessage(m, cfg)
+		if err != nil {
+			return nil, err
+		}
 		st.WallNS = time.Since(start).Nanoseconds() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	}
-	if err == nil {
 		obs.End(cfg.Observe, st)
+		return st, nil
+	}
+	pol, vc, err := plan(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st, err := pol.RunVirtual(m, vc)
+	if st != nil && cfg.Algo == Sequential {
+		// Like the sequential DES kernel, v-sequential reports no rounds:
+		// its windows only end at global events.
+		st.Rounds = 0
 	}
 	return st, err
+}
+
+// plan maps a round algorithm onto the round engine: the live kernel's
+// policy, and what the virtual executor charges for it.
+func plan(m *sim.Model, cfg Config) (core.Policy, core.VirtualCost, error) {
+	c := cfg.Cost
+	vc := core.VirtualCost{
+		EventNS: c.EventNS, MissNS: c.MissNS, CacheWays: c.CacheWays,
+		MsgNS: c.MsgNS, SortPerLPNS: c.SortPerLPNS,
+		Speeds: cfg.CoreSpeeds, SpeedAware: cfg.SpeedAware,
+	}
+	var pol core.Policy
+	switch cfg.Algo {
+	case Sequential:
+		pol = core.BarrierPolicy(core.SingleLP(m.Nodes, m.Links()))
+		pol.Name = Sequential.String()
+	case Barrier:
+		if cfg.LPOf == nil {
+			return pol, vc, errors.New("vtime: Barrier requires a manual partition (LPOf)")
+		}
+		pol = core.BarrierPolicy(core.Manual(cfg.LPOf, m.Links()))
+		pol.Name = Barrier.String()
+		// Two collective barriers per round, each computing the LBTS.
+		vc.RoundNS = 2 * c.BarrierNS
+	case Unison:
+		if cfg.Cores <= 0 {
+			return pol, vc, errors.New("vtime: Unison requires Cores > 0")
+		}
+		pol = core.UnisonPolicy(m, cfg.LPOf, cfg.Cores)
+		pol.Name = fmt.Sprintf("v-unison(t=%d)", cfg.Cores)
+		pol.Metric, pol.Period = cfg.Metric, cfg.Period
+		// Four in-process spin barriers per round (§5.1).
+		vc.RoundNS = 4 * c.SpinBarrierNS
+	case Hybrid:
+		if cfg.HostOf == nil {
+			return pol, vc, errors.New("vtime: Hybrid requires HostOf")
+		}
+		if cfg.CoresPerHost <= 0 {
+			return pol, vc, errors.New("vtime: Hybrid requires CoresPerHost > 0")
+		}
+		var err error
+		if pol, err = core.HybridPolicy(m, cfg.HostOf, cfg.CoresPerHost); err != nil {
+			return pol, vc, err
+		}
+		pol.Name = fmt.Sprintf("v-hybrid(%dx%d)", len(pol.Workers), cfg.CoresPerHost)
+		pol.Metric, pol.Period = cfg.Metric, cfg.Period
+		// The intra-host spin barriers plus the inter-host all-reduce.
+		vc.RoundNS = 4*c.SpinBarrierNS + 2*c.BarrierNS
+		if cfg.Observe != nil {
+			cfg.Observe = allReduceProbe{cfg.Observe, 2 * c.BarrierNS}
+		}
+	default:
+		return pol, vc, errors.New("vtime: unknown algorithm")
+	}
+	pol.RecordRounds, pol.MaxRounds, pol.Observe = cfg.RecordRounds, cfg.MaxRounds, cfg.Observe
+	if speeds := cfg.CoreSpeeds; speeds != nil {
+		workers := 0
+		for _, n := range pol.Workers {
+			workers += n
+		}
+		if len(speeds) != workers {
+			return pol, vc, errors.New("vtime: CoreSpeeds length must equal the worker count")
+		}
+		for _, sp := range speeds {
+			if sp <= 0 {
+				return pol, vc, errors.New("vtime: CoreSpeeds must be positive")
+			}
+		}
+	}
+	return pol, vc, nil
+}
+
+// allReduceProbe stamps the modeled inter-host all-reduce on every
+// v-hybrid record. v-hybrid records report no FEL depth, so the field is
+// cleared.
+type allReduceProbe struct {
+	obs.Probe
+	ns int64
+}
+
+func (p allReduceProbe) OnRound(rec *obs.RoundRecord) {
+	rec.AllReduceNS, rec.FELDepth = p.ns, 0
+	p.Probe.OnRound(rec)
 }
 
 // Speedup returns base's virtual time divided by st's — the figure-of-

@@ -130,8 +130,8 @@ func TestArtifactsIdenticalAcrossKernels(t *testing.T) {
 		core.New(core.Config{Threads: 2}),
 		core.New(core.Config{Threads: 4}),
 		core.NewHybrid(core.HybridConfig{HostOf: manual, ThreadsPerHost: 2}),
-		&pdes.BarrierKernel{LPOf: manual},
-		&pdes.NullMessageKernel{LPOf: manual},
+		&pdes.BarrierKernel{Part: core.Manual(manual, ft.LinkInfos())},
+		&pdes.NullMessageKernel{Part: core.Manual(manual, ft.LinkInfos())},
 	}
 	for _, k := range kernels {
 		compareArtifacts(t, k.Name(), obsRun(t, k), base)

@@ -113,7 +113,7 @@ func TestStreamingArtifactsIdenticalAcrossKernels(t *testing.T) {
 		core.New(core.Config{Threads: 2}),
 		core.New(core.Config{Threads: 4}),
 		core.NewHybrid(core.HybridConfig{HostOf: manual, ThreadsPerHost: 2}),
-		&pdes.BarrierKernel{LPOf: manual},
+		&pdes.BarrierKernel{Part: core.Manual(manual, ft.LinkInfos())},
 	}
 	for _, k := range kernels {
 		compareArtifacts(t, k.Name(), streamObsRun(t, k, true), base)

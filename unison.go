@@ -124,21 +124,6 @@ func NewBarrier(part *Partition) Kernel { return &pdes.BarrierKernel{Part: part}
 // lookahead derived from it; build one with ManualPartition.
 func NewNullMessage(part *Partition) Kernel { return &pdes.NullMessageKernel{Part: part} }
 
-// NewBarrierManual returns the barrier PDES baseline from a raw node→rank
-// slice.
-//
-// Deprecated: use NewBarrier with a typed partition from ManualPartition,
-// which validates the assignment and carries the derived lookahead.
-func NewBarrierManual(lpOf []int32) Kernel { return &pdes.BarrierKernel{LPOf: lpOf} }
-
-// NewNullMessageManual returns the null-message PDES baseline from a raw
-// node→rank slice.
-//
-// Deprecated: use NewNullMessage with a typed partition from
-// ManualPartition, which validates the assignment and carries the derived
-// lookahead.
-func NewNullMessageManual(lpOf []int32) Kernel { return &pdes.NullMessageKernel{LPOf: lpOf} }
-
 // FineGrainedPartition runs the paper's Algorithm 1 on a topology.
 func FineGrainedPartition(g *Graph) *Partition {
 	return core.FineGrained(g.N(), g.LinkInfos())
