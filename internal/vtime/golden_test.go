@@ -57,10 +57,18 @@ func (g goldenRun) String() string {
 // nanosecond on the k=4 fat-tree: virtual time, rounds, each worker's
 // P/S/M/Events, the cache-model counters, and a digest of the full
 // per-round record stream. The values were recorded from the kernels as
-// they stood before the live and virtual round loops were merged into
-// one engine; any drift in the modeled costs, the placement of LPs onto
-// virtual cores or the record contents fails here.
+// they stood before their live and virtual copies were merged (the round
+// kernels into one engine, the null-message kernel into one rank step);
+// any drift in the modeled costs, the placement of LPs onto virtual
+// cores or the record contents fails here.
 func TestVirtualAccountingGolden(t *testing.T) {
+	// The null-message cases run on barrier4's partition and on one that
+	// halves it (ranks 0,1 → 0 and 2,3 → 1).
+	_, _, lpOf := scenario(3, 0.3)
+	half := make([]int32, len(lpOf))
+	for i, lp := range lpOf {
+		half[i] = lp / 2
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -159,6 +167,26 @@ func TestVirtualAccountingGolden(t *testing.T) {
 			},
 			cacheRefs: 41410, cacheMisses: 2694,
 			digest: 0x64149270dc63e56e,
+		}},
+		{"nullmsg4", Config{Algo: NullMessage, LPOf: lpOf}, goldenRun{
+			virtualT: 15812540, rounds: 640,
+			workers: [][4]int64{
+				{10817500, 4785480, 209560, 10741},
+				{15031000, 504860, 276680, 15027},
+				{8122000, 7390060, 300480, 8118},
+				{7568500, 8048760, 195280, 7524},
+			},
+			cacheRefs: 41410, cacheMisses: 258,
+			digest: 0x8df813420d323f91,
+		}},
+		{"nullmsg2", Config{Algo: NullMessage, LPOf: half}, goldenRun{
+			virtualT: 28810060, rounds: 4,
+			workers: [][4]int64{
+				{28610500, 119000, 80560, 25768},
+				{17247500, 11481440, 81120, 15642},
+			},
+			cacheRefs: 41410, cacheMisses: 8896,
+			digest: 0x1ff9ddc392688d03,
 		}},
 	}
 	for _, tc := range cases {
