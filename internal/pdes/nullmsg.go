@@ -3,8 +3,6 @@ package pdes
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"unison/internal/ckpt"
@@ -26,6 +24,9 @@ import (
 // supports only the stop event among global events: distributed ranks
 // have no coordination point at which to run arbitrary global events.
 // Models using dynamic topologies must use Unison.
+//
+// This file is the rank step both executors run: the live one
+// (nullmsg_live.go) and the virtual testbed's (nullmsg_virtual.go).
 type NullMessageKernel struct {
 	// Part is the static rank assignment and its lookahead
 	// (core.Manual, or a recipe from partition.go).
@@ -41,275 +42,337 @@ type NullMessageKernel struct {
 // Name implements sim.Kernel.
 func (k *NullMessageKernel) Name() string { return "nullmsg" }
 
+// VirtualCost is what the virtual executor charges, in virtual
+// nanoseconds: EventNS per event plus MissNS per miss of the
+// CacheWays-way cache-locality model, MsgNS per drained message and per
+// sent event message, and NullNS per null message.
+type VirtualCost struct {
+	EventNS, MissNS int64
+	CacheWays       int
+	MsgNS, NullNS   int64
+}
+
+// Run implements sim.Kernel: it executes m under the live executor.
+func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
+	return k.run(m, k.Name(), nil)
+}
+
+// RunVirtual executes m under the virtual executor, charging c, and
+// labels the run name. It takes no checkpoints.
+func (k *NullMessageKernel) RunVirtual(m *sim.Model, name string, c VirtualCost) (*sim.RunStats, error) {
+	return k.run(m, name, &c)
+}
+
 // nmMsg is one channel message: a batch of remote events plus the
 // sender's promise bound.
 type nmMsg struct {
-	from   int32
-	bound  sim.Time
-	events []sim.Event
+	from    int32
+	bound   sim.Time
+	events  []sim.Event
+	vArrive int64 // virtual arrival time (virtual executor)
 }
 
-// nmInbox is a rank's input channel multiplexer.
-type nmInbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []nmMsg
-	seq  uint64
-}
-
-func (in *nmInbox) post(m nmMsg) {
-	in.mu.Lock()
-	in.msgs = append(in.msgs, m)
-	in.seq++
-	in.cond.Signal()
-	in.mu.Unlock()
-}
-
-func (in *nmInbox) take(buf []nmMsg) ([]nmMsg, uint64) {
-	in.mu.Lock()
-	buf = append(buf[:0], in.msgs...)
-	in.msgs = in.msgs[:0]
-	seq := in.seq
-	in.mu.Unlock()
-	return buf, seq
-}
-
-// waitChange blocks until the inbox seq advances past seen.
-func (in *nmInbox) waitChange(seen uint64) {
-	in.mu.Lock()
-	for in.seq == seen {
-		in.cond.Wait()
-	}
-	in.mu.Unlock()
-}
-
+// nmRank is one rank, and the sink of the events it creates.
 type nmRank struct {
-	id      int32
-	fel     *eventq.Queue
-	inbox   nmInbox
-	inFrom  []int32            // ranks with channels into this rank
-	outTo   []int32            // ranks this rank sends to
-	outLA   map[int32]sim.Time // per-channel lookahead
-	clock   map[int32]sim.Time // input channel bounds
-	promise map[int32]sim.Time // last promise sent per output channel
-	outBuf  map[int32][]sim.Event
+	id     int32
+	lpOf   []int32
+	fel    *eventq.Queue
+	ctx    *sim.Ctx
+	inbox  nmInbox
+	inFrom []int32 // ranks with channels into this rank
+	outTo  []int32 // ranks this rank sends to, ascending
+	// Per peer rank: output channel lookahead (-1 = no channel), input
+	// channel bound, last promise sent, and staged events.
+	outLA   []sim.Time
+	clock   []sim.Time
+	promise []sim.Time
+	outBuf  [][]sim.Event
 
+	done    bool
 	events  uint64
 	lastT   sim.Time
 	p, s, m int64
 	nulls   uint64
+	iter    uint64          // probe iteration counter
+	rec     obs.RoundRecord // escapes through the probe; allocated per run
+
+	seen   uint64            // live: the inbox seq last drained
+	sw     metrics.Stopwatch // live: phase timing
+	v      int64             // virtual: the rank's CPU clock
+	parked bool              // virtual: waiting for any message
 }
 
-type nmSink struct {
-	r     *nmRank
-	lpOf  []int32
-	setup bool
-}
-
-func (s *nmSink) Put(ev sim.Event) {
-	tgt := s.lpOf[ev.Node]
-	if tgt == s.r.id {
-		s.r.fel.Push(ev)
-		return
+func (r *nmRank) Put(ev sim.Event) {
+	if tgt := r.lpOf[ev.Node]; tgt != r.id {
+		r.outBuf[tgt] = append(r.outBuf[tgt], ev)
+	} else {
+		r.fel.Push(ev)
 	}
-	s.r.outBuf[tgt] = append(s.r.outBuf[tgt], ev)
 }
 
-func (s *nmSink) PutGlobal(sim.Event) {
+func (r *nmRank) PutGlobal(sim.Event) {
 	panic("pdes: the null message kernel does not support global events")
 }
 
-// Run implements sim.Kernel.
-func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
+// nmRun is the shared state of one run.
+type nmRun struct {
+	k     *NullMessageKernel
+	m     *sim.Model
+	ranks []*nmRank
+	seqs  sim.SeqTable
+	cache *metrics.CacheModel
+	// virtual selects the virtual executor; cost is zero live.
+	virtual bool
+	cost    VirtualCost
+	// stopAt ends the current segment: StopAt, or a checkpoint epoch.
+	stopAt sim.Time
+
+	// The checkpoint epoch, and the restored-from offsets so a resumed
+	// run's RunStats match an uninterrupted one.
+	epoch      uint64
+	baseEvents uint64
+	baseEnd    sim.Time
+}
+
+func (k *NullMessageKernel) run(m *sim.Model, name string, vc *VirtualCost) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("pdes: %w", err)
 	}
 	if m.StopAt <= 0 {
 		return nil, errors.New("pdes: NullMessageKernel requires Model.StopAt (no distributed termination detection)")
 	}
-	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	links := m.Links()
-	part := k.Part
-	if part == nil || len(part.LPOf) != m.Nodes {
+	if k.Part == nil || len(k.Part.LPOf) != m.Nodes {
 		return nil, errors.New("pdes: NullMessageKernel requires a manual partition covering every node")
 	}
-	n := part.Count
+	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+	x, err := newNMRun(m, k, vc)
+	if err != nil {
+		return nil, err
+	}
+	obs.Begin(k.Observe, obs.RunMeta{Kernel: name, Workers: len(x.ranks), LPs: len(x.ranks)})
+	if x.virtual {
+		err = x.runVirtual()
+	} else {
+		err = x.runLive()
+	}
+	if err != nil {
+		return nil, err
+	}
+	st := x.stats(name, start)
+	obs.End(k.Observe, st)
+	return st, nil
+}
 
-	// Channel lookaheads: min delay per directed rank pair.
-	type pair struct{ a, b int32 }
-	chanLA := map[pair]sim.Time{}
+// newNMRun builds the ranks and their channels and loads the initial (or
+// restored) events.
+func newNMRun(m *sim.Model, k *NullMessageKernel, vc *VirtualCost) (*nmRun, error) {
+	part := k.Part
+	n := part.Count
+	x := &nmRun{k: k, m: m, ranks: make([]*nmRank, n), seqs: sim.NewSeqTable(m.Nodes), stopAt: m.StopAt}
+	ways := k.CacheWays
+	if vc != nil {
+		x.virtual, x.cost, ways = true, *vc, vc.CacheWays
+	}
+	if ways > 0 {
+		x.cache = metrics.NewCacheModel(n, ways)
+	}
+	for i := range x.ranks {
+		r := &nmRank{
+			id:      int32(i),
+			lpOf:    part.LPOf,
+			fel:     eventq.New(64),
+			outLA:   make([]sim.Time, n),
+			clock:   make([]sim.Time, n),
+			promise: make([]sim.Time, n),
+			outBuf:  make([][]sim.Event, n),
+		}
+		for j := range r.outLA {
+			r.outLA[j] = -1
+		}
+		r.ctx = sim.NewCtx(r, i)
+		r.inbox.cond.L = &r.inbox.mu
+		x.ranks[i] = r
+	}
+	// Channel lookahead: the minimum delay over the up links between
+	// two ranks.
+	links := m.Links()
 	for i := range links {
 		l := &links[i]
 		ra, rb := part.LPOf[l.A], part.LPOf[l.B]
 		if ra == rb || !l.Up {
 			continue
 		}
-		for _, p := range []pair{{ra, rb}, {rb, ra}} {
-			if la, ok := chanLA[p]; !ok || l.Delay < la {
-				chanLA[p] = l.Delay
+		for _, c := range [2][2]int32{{ra, rb}, {rb, ra}} {
+			if la := &x.ranks[c[0]].outLA[c[1]]; *la < 0 || l.Delay < *la {
+				*la = l.Delay
+			}
+		}
+	}
+	// Channels in rank order fix the null-message send order.
+	for _, r := range x.ranks {
+		for to, la := range r.outLA {
+			if la >= 0 {
+				r.outTo = append(r.outTo, int32(to))
+				x.ranks[to].inFrom = append(x.ranks[to].inFrom, r.id)
 			}
 		}
 	}
 
-	ranks := make([]*nmRank, n)
-	for i := range ranks {
-		ranks[i] = &nmRank{
-			id:      int32(i),
-			fel:     eventq.New(64),
-			outLA:   map[int32]sim.Time{},
-			clock:   map[int32]sim.Time{},
-			promise: map[int32]sim.Time{},
-			outBuf:  map[int32][]sim.Event{},
-		}
-		ranks[i].inbox.cond = sync.NewCond(&ranks[i].inbox.mu)
-	}
-	// Deterministic channel setup order: ranging chanLA directly would
-	// let Go's randomized map order decide each rank's outTo/inFrom
-	// sequence — and with it the null-message send order — varying run
-	// to run. (unisoncheck:maporder caught this; the vtime sibling
-	// kernel already sorted.)
-	pairs := make([]pair, 0, len(chanLA))
-	for p := range chanLA {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	for _, p := range pairs {
-		la := chanLA[p]
-		ranks[p.a].outTo = append(ranks[p.a].outTo, p.b)
-		ranks[p.a].outLA[p.b] = la
-		ranks[p.b].inFrom = append(ranks[p.b].inFrom, p.a)
-		ranks[p.b].clock[p.a] = 0
-	}
-
-	var cache *metrics.CacheModel
-	if k.CacheWays > 0 {
-		cache = metrics.NewCacheModel(n, k.CacheWays)
-	}
-	seqs := sim.NewSeqTable(m.Nodes)
-	hook := m.Ckpt
-	var baseEvents uint64
-	var baseEnd sim.Time
-	var epoch uint64
-	if hook != nil && hook.Restore != nil {
+	queue := m.Init
+	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
 		ks := hook.Restore
-		if len(ks.Seqs) != len(seqs) {
-			return nil, fmt.Errorf("pdes: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(seqs))
+		if len(ks.Seqs) != len(x.seqs) {
+			return nil, fmt.Errorf("pdes: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(x.seqs))
 		}
-		copy(seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is duplicated as StopAt per rank
-				}
-				return nil, errors.New("pdes: null message kernel cannot restore models with global events (use Unison)")
+		copy(x.seqs, ks.Seqs)
+		queue = ks.Queue
+		x.epoch, x.baseEvents, x.baseEnd = ks.Round, ks.Events, ks.EndTime
+	}
+	for _, ev := range queue {
+		if ev.Node == sim.GlobalNode {
+			if ev.Time == m.StopAt {
+				continue // the stop event is duplicated as StopAt per rank
 			}
-			ranks[part.LPOf[ev.Node]].fel.Push(ev)
+			return nil, errors.New("pdes: null message kernel cannot run models with global events (use Unison)")
 		}
-		epoch, baseEvents, baseEnd = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is duplicated as StopAt per rank
-				}
-				return nil, errors.New("pdes: null message kernel cannot run models with global events (use Unison)")
-			}
-			ranks[part.LPOf[ev.Node]].fel.Push(ev)
-		}
+		x.ranks[part.LPOf[ev.Node]].fel.Push(ev)
 	}
-	ckptEvery := sim.Time(0)
-	if hook != nil && hook.Save != nil && hook.EveryTime > 0 {
-		ckptEvery = hook.EveryTime
-	}
-
-	obs.Begin(k.Observe, obs.RunMeta{Kernel: k.Name(), Workers: n, LPs: n})
-	// The null-message kernel has no global rounds, so checkpoints use
-	// simulated-time epochs (CkptHook.EveryTime): the run is split into
-	// segments ending at epoch multiples, every rank quiesces at the
-	// segment boundary exactly as it would at StopAt, and the boundary is
-	// a sound snapshot point — a rank only terminates a segment once its
-	// EIT reaches the boundary, so channel promises guarantee every
-	// undelivered message holds only events at or after it.
-	for {
-		segEnd := m.StopAt
-		if ckptEvery > 0 {
-			if next := sim.Time(epoch+1) * ckptEvery; next < segEnd {
-				segEnd = next
-			}
-		}
-		var wg sync.WaitGroup
-		for _, r := range ranks {
-			wg.Add(1)
-			go func(r *nmRank) {
-				defer wg.Done()
-				k.rankLoop(r, ranks, part.LPOf, seqs, segEnd, cache)
-			}(r)
-		}
-		wg.Wait()
-		if segEnd >= m.StopAt {
-			break
-		}
-		epoch++
-		// Serial quiesce: deliver messages posted after their receiver
-		// terminated the segment (all bounded at or after segEnd).
-		var buf []nmMsg
-		for _, r := range ranks {
-			buf, _ = r.inbox.take(buf)
-			for _, msg := range buf {
-				r.fel.PushBatch(msg.events)
-				if msg.bound > r.clock[msg.from] {
-					r.clock[msg.from] = msg.bound
-				}
-			}
-		}
-		if err := k.saveCkpt(m, ranks, seqs, epoch, segEnd, baseEvents, baseEnd); err != nil {
-			return nil, err
-		}
-	}
-
-	st := &sim.RunStats{
-		Kernel:  "nullmsg",
-		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		LPs:     n,
-		Workers: make([]sim.WorkerStats, n),
-	}
-	st.Events = baseEvents
-	st.EndTime = baseEnd
-	var nulls uint64
-	for i, r := range ranks {
-		st.Events += r.events
-		if r.lastT > st.EndTime {
-			st.EndTime = r.lastT
-		}
-		st.Workers[i] = sim.WorkerStats{P: r.p, S: r.s, M: r.m, Events: r.events}
-		nulls += r.nulls
-	}
-	st.Rounds = nulls // for null-message, "rounds" reports null messages sent
-	if cache != nil {
-		st.CacheRefs, st.CacheMisses = cache.Counters()
-	}
-	obs.End(k.Observe, st)
-	return st, nil
+	return x, nil
 }
 
-// saveCkpt snapshots the quiesced rank FELs through the model's
-// checkpoint hook. The per-rank clocks and promises are deliberately NOT
+// lap returns the duration of the phase just ended: the stopwatch lap
+// live; virtually, the modeled charge, which advances r's clock.
+func (x *nmRun) lap(r *nmRank, modeled int64) int64 {
+	if x.virtual {
+		r.v += modeled
+		return modeled
+	}
+	return r.sw.Lap()
+}
+
+// step is one iteration of rank r, shared by both executors: drain the
+// deliverable messages msgs, run the safe prefix, flush events and eager
+// null messages, test for termination and report the iteration. It
+// returns whether the rank progressed: drained or sent a message, ran an
+// event, or terminated. A live rank that did not has waited for its
+// inbox to change before the iteration is reported.
+func (x *nmRun) step(r *nmRank, msgs []nmMsg) bool {
+	var recvd uint64
+	for _, msg := range msgs {
+		r.fel.PushBatch(msg.events)
+		recvd += uint64(len(msg.events))
+		r.clock[msg.from] = max(r.clock[msg.from], msg.bound)
+	}
+	m1 := x.lap(r, int64(len(msgs))*x.cost.MsgNS)
+
+	// EIT: the earliest a future remote event could arrive.
+	eit := sim.MaxTime
+	for _, from := range r.inFrom {
+		eit = min(eit, r.clock[from])
+	}
+	safe := min(eit, x.stopAt)
+
+	// Process the safe prefix.
+	evStart := r.events
+	cache := x.cache
+	var cost int64
+	for {
+		ev, ok := r.fel.PopBefore(safe)
+		if !ok {
+			break
+		}
+		if cache != nil {
+			cost += x.cost.EventNS
+			if cache.Touch(int(r.id), ev.Node) {
+				cost += x.cost.MissNS
+			}
+		}
+		r.ctx.Begin(&ev, x.seqs.Of(ev.Node))
+		ev.Fn(r.ctx)
+		r.events++
+		r.lastT = ev.Time
+	}
+	pNS := x.lap(r, cost)
+
+	// Flush remote events and eager null messages. The promise is
+	// sound: any later output of this rank is caused by an event at
+	// or after min(N_own, EIT), plus the channel lookahead.
+	base := min(r.fel.NextTime(), eit)
+	var sent uint64
+	var sendNS int64
+	posted := false
+	for _, to := range r.outTo {
+		bound := satAdd(base, r.outLA[to])
+		evs := r.outBuf[to]
+		if len(evs) == 0 && bound <= r.promise[to] {
+			continue
+		}
+		msg := nmMsg{from: r.id, bound: bound, vArrive: r.v + sendNS + x.cost.MsgNS}
+		c := x.cost.NullNS
+		if len(evs) > 0 {
+			msg.events = append([]sim.Event(nil), evs...)
+			sent += uint64(len(evs))
+			r.outBuf[to] = evs[:0]
+			c = x.cost.MsgNS
+		} else {
+			r.nulls++
+		}
+		sendNS += c
+		r.promise[to] = bound
+		if x.virtual {
+			x.ranks[to].deliver(msg)
+		} else {
+			x.ranks[to].inbox.post(msg)
+		}
+		posted = true
+	}
+	m2 := x.lap(r, sendNS)
+
+	// Terminate once nothing before stopAt can happen here anymore.
+	r.done = r.fel.NextTime() >= x.stopAt && eit >= x.stopAt
+	progressed := r.done || posted || len(msgs) > 0 || r.events > evStart
+	var sNS int64
+	if !progressed && !x.virtual {
+		// Blocked: wait for a neighbor to extend a promise. (The virtual
+		// executor's scheduler waits for the rank instead.)
+		r.inbox.waitChange(r.seen)
+		sNS = r.sw.Lap()
+	}
+	r.p += pNS
+	r.s += sNS
+	r.m += m1 + m2
+	if probe := x.k.Observe; probe != nil {
+		r.rec = obs.RoundRecord{
+			Round: r.iter, Worker: r.id, LBTS: safe,
+			Events: r.events - evStart,
+			ProcNS: pNS, SyncNS: sNS, MsgNS: m1 + m2,
+			Sends: sent, SendBytes: sent * obs.EventBytes,
+			Recvs: recvd, FELDepth: uint64(r.fel.Len()),
+		}
+		probe.OnRound(&r.rec)
+		r.iter++
+	}
+	return progressed
+}
+
+// saveCkpt snapshots the quiesced ranks through the model's checkpoint
+// hook: their FELs, and the events of messages posted after the receiver
+// ended the segment (bounded at or after it; the next segment drains
+// them). The per-rank clocks and promises are deliberately NOT
 // serialized: they are lower bounds, so a restored run restarting them
 // at zero merely re-warms the channels with a few extra null messages —
 // the event trajectory is unchanged (RunStats.Rounds, the null-message
 // count, is the one scheduling-dependent statistic).
-func (k *NullMessageKernel) saveCkpt(m *sim.Model, ranks []*nmRank, seqs sim.SeqTable, epoch uint64, now sim.Time, baseEvents uint64, baseEnd sim.Time) error {
+func (x *nmRun) saveCkpt() error {
 	var queue []sim.Event
-	for _, r := range ranks {
+	for _, r := range x.ranks {
 		queue = r.fel.Snapshot(queue)
+		for _, msg := range r.inbox.msgs {
+			queue = append(queue, msg.events...)
+		}
 	}
-	for _, ev := range m.Init {
-		if ev.Node == sim.GlobalNode && ev.Time == m.StopAt {
+	for _, ev := range x.m.Init {
+		if ev.Node == sim.GlobalNode && ev.Time == x.m.StopAt {
 			// Keep the snapshot portable: kernels that schedule the stop
 			// globally need it back in the queue; this kernel skips it on
 			// restore just as it does at setup.
@@ -320,145 +383,57 @@ func (k *NullMessageKernel) saveCkpt(m *sim.Model, ranks []*nmRank, seqs sim.Seq
 		return fmt.Errorf("pdes: %w", err)
 	}
 	ks := &sim.KernelState{
-		Round:   epoch,
-		Now:     now,
-		Events:  baseEvents,
-		EndTime: baseEnd,
-		Seqs:    append([]uint64(nil), seqs...),
-		Queue:   queue,
+		Round: x.epoch,
+		Now:   x.stopAt,
+		Seqs:  append([]uint64(nil), x.seqs...),
+		Queue: queue,
 	}
-	for _, r := range ranks {
-		ks.Events += r.events
-		if r.lastT > ks.EndTime {
-			ks.EndTime = r.lastT
-		}
-	}
-	if err := m.Ckpt.Save(ks); err != nil {
+	ks.Events, ks.EndTime = x.totals()
+	if err := x.m.Ckpt.Save(ks); err != nil {
 		return fmt.Errorf("pdes: checkpoint: %w", err)
 	}
 	return nil
 }
 
-func (k *NullMessageKernel) rankLoop(r *nmRank, ranks []*nmRank, lpOf []int32, seqs sim.SeqTable, stopAt sim.Time, cache *metrics.CacheModel) {
-	sink := &nmSink{r: r, lpOf: lpOf}
-	ctx := sim.NewCtx(sink, int(r.id))
-	probe := k.Observe
-	var iter uint64
-	// rec escapes through the probe interface call; hoisted so the
-	// allocation is per run, not per round (probes copy the pointee).
-	var rec obs.RoundRecord
-	var sw metrics.Stopwatch
-	sw.Start()
-	var buf []nmMsg
-	var seenSeq uint64
-
-	for {
-		// Drain the inbox: merge remote events, advance channel clocks.
-		var recvd uint64
-		buf, seenSeq = r.inbox.take(buf)
-		for _, msg := range buf {
-			r.fel.PushBatch(msg.events)
-			recvd += uint64(len(msg.events))
-			if msg.bound > r.clock[msg.from] {
-				r.clock[msg.from] = msg.bound
-			}
-		}
-		m1 := sw.Lap()
-		r.m += m1
-
-		// EIT: the earliest a future remote event could arrive.
-		eit := sim.MaxTime
-		for _, from := range r.inFrom {
-			if c := r.clock[from]; c < eit {
-				eit = c
-			}
-		}
-		safe := eit
-		if stopAt < safe {
-			safe = stopAt
-		}
-
-		// Process the safe prefix.
-		evStart := r.events
-		progressed := false
-		for {
-			ev, ok := r.fel.PopBefore(safe)
-			if !ok {
-				break
-			}
-			if cache != nil {
-				cache.Touch(int(r.id), ev.Node)
-			}
-			ctx.Begin(&ev, seqs.Of(ev.Node))
-			ev.Fn(ctx)
-			r.events++
-			r.lastT = ev.Time
-			progressed = true
-		}
-		pNS := sw.Lap()
-		r.p += pNS
-
-		// Flush remote events and eager null messages. The promise is
-		// sound: any later output of this rank is caused by an event at
-		// or after min(N_own, EIT), plus the channel lookahead.
-		base := r.fel.NextTime()
-		if eit < base {
-			base = eit
-		}
-		var sent uint64
-		for _, to := range r.outTo {
-			bound := satAdd(base, r.outLA[to])
-			evs := r.outBuf[to]
-			if len(evs) == 0 && bound <= r.promise[to] {
-				continue
-			}
-			msg := nmMsg{from: r.id, bound: bound}
-			if len(evs) > 0 {
-				msg.events = append([]sim.Event(nil), evs...)
-				sent += uint64(len(evs))
-				r.outBuf[to] = evs[:0]
-			} else {
-				r.nulls++
-			}
-			r.promise[to] = bound
-			ranks[to].inbox.post(msg)
-		}
-		m2 := sw.Lap()
-		r.m += m2
-
-		// Terminate once nothing before stopAt can happen here anymore.
-		terminal := r.fel.NextTime() >= stopAt && eit >= stopAt
-		var sNS int64
-		if !terminal && !progressed {
-			// Blocked: wait for a neighbor to extend a promise.
-			r.inbox.waitChange(seenSeq)
-			sNS = sw.Lap()
-			r.s += sNS
-		}
-		if probe != nil {
-			rec = obs.RoundRecord{
-				Round: iter, Worker: r.id, LBTS: safe,
-				Events: r.events - evStart,
-				ProcNS: pNS, SyncNS: sNS, MsgNS: m1 + m2,
-				Sends: sent, SendBytes: sent * obs.EventBytes,
-				Recvs: recvd, FELDepth: uint64(r.fel.Len()),
-			}
-			probe.OnRound(&rec)
-			iter++
-		}
-		if terminal {
-			return
-		}
+// totals returns the events executed and the latest event time, counting
+// the restored-from offsets.
+func (x *nmRun) totals() (events uint64, end sim.Time) {
+	events, end = x.baseEvents, x.baseEnd
+	for _, r := range x.ranks {
+		events += r.events
+		end = max(end, r.lastT)
 	}
+	return events, end
 }
 
+func (x *nmRun) stats(name string, start time.Time) *sim.RunStats {
+	st := &sim.RunStats{
+		Kernel:  name,
+		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+		LPs:     len(x.ranks),
+		Workers: make([]sim.WorkerStats, len(x.ranks)),
+	}
+	st.Events, st.EndTime = x.totals()
+	for i, r := range x.ranks {
+		st.Workers[i] = sim.WorkerStats{P: r.p, S: r.s, M: r.m, Events: r.events}
+		st.Rounds += r.nulls // for null-message, "rounds" reports null messages sent
+		st.VirtualT = max(st.VirtualT, r.v)
+	}
+	// Ranks that finished early waited (virtually) for the slowest one.
+	// Live, every virtual clock stays at zero.
+	for i, r := range x.ranks {
+		st.Workers[i].S += st.VirtualT - r.v
+	}
+	if x.cache != nil {
+		st.CacheRefs, st.CacheMisses = x.cache.Counters()
+	}
+	return st
+}
+
+// satAdd is a+b for non-negative times, saturating at sim.MaxTime.
 func satAdd(a, b sim.Time) sim.Time {
-	if a == sim.MaxTime || b == sim.MaxTime {
-		return sim.MaxTime
+	if c := a + b; c >= a {
+		return c
 	}
-	c := a + b
-	if c < a {
-		return sim.MaxTime
-	}
-	return c
+	return sim.MaxTime
 }

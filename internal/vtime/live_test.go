@@ -107,6 +107,36 @@ func TestLiveMatchesVirtualRounds(t *testing.T) {
 	}
 }
 
+// TestLiveMatchesVirtualNullMessage is the null-message twin: the live
+// ranks and the virtual meta-simulation run one rank step, so they must
+// agree on the simulation results, the event count, the end time and each
+// rank's events. CMB has no rounds, and how many null messages flow
+// depends on the live scheduling, so neither is compared.
+func TestLiveMatchesVirtualNullMessage(t *testing.T) {
+	m, monLive, lpOf := scenario(11, 0.3)
+	live, err := (&pdes.NullMessageKernel{Part: core.Manual(lpOf, m.Links())}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, monVirt, _ := scenario(11, 0.3)
+	virt, err := Run(mv, Config{Algo: NullMessage, LPOf: lpOf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if monLive.Fingerprint() != monVirt.Fingerprint() {
+		t.Fatal("live and virtual runs produced different simulation results")
+	}
+	if live.Events == 0 || live.Events != virt.Events {
+		t.Errorf("events: live %d, virtual %d", live.Events, virt.Events)
+	}
+	if live.EndTime != virt.EndTime {
+		t.Errorf("end time: live %v, virtual %v", live.EndTime, virt.EndTime)
+	}
+	if got, want := rankEvents(live), rankEvents(virt); got != want {
+		t.Errorf("per-rank events: live %s, virtual %s", got, want)
+	}
+}
+
 func rankEvents(st *sim.RunStats) string {
 	ev := make([]uint64, len(st.Workers))
 	for i, w := range st.Workers {

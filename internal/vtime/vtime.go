@@ -11,17 +11,16 @@
 //
 // The simulation itself is executed for real (every event callback runs),
 // so the virtual run produces the same simulation results as the live
-// kernels; only the time accounting is modeled. The null-message
-// baseline has no rounds; nullmsg.go models it as a meta-simulation.
+// kernels; only the time accounting is modeled.
 package vtime
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"unison/internal/core"
 	"unison/internal/obs"
+	"unison/internal/pdes"
 	"unison/internal/sim"
 )
 
@@ -110,14 +109,7 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 	}
 	cfg.Cost.fillDefaults()
 	if cfg.Algo == NullMessage {
-		start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		st, err := runNullMessage(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st.WallNS = time.Since(start).Nanoseconds() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		obs.End(cfg.Observe, st)
-		return st, nil
+		return runNullMessage(m, cfg)
 	}
 	pol, vc, err := plan(m, cfg)
 	if err != nil {
@@ -147,10 +139,11 @@ func plan(m *sim.Model, cfg Config) (core.Policy, core.VirtualCost, error) {
 		pol = core.BarrierPolicy(core.SingleLP(m.Nodes, m.Links()))
 		pol.Name = Sequential.String()
 	case Barrier:
-		if cfg.LPOf == nil {
-			return pol, vc, errors.New("vtime: Barrier requires a manual partition (LPOf)")
+		part, err := manual(m, cfg)
+		if err != nil {
+			return pol, vc, err
 		}
-		pol = core.BarrierPolicy(core.Manual(cfg.LPOf, m.Links()))
+		pol = core.BarrierPolicy(part)
 		pol.Name = Barrier.String()
 		// Two collective barriers per round, each computing the LBTS.
 		vc.RoundNS = 2 * c.BarrierNS
@@ -200,6 +193,30 @@ func plan(m *sim.Model, cfg Config) (core.Policy, core.VirtualCost, error) {
 		}
 	}
 	return pol, vc, nil
+}
+
+// runNullMessage maps the null-message algorithm onto pdes's virtual
+// executor, as plan does for the round algorithms.
+func runNullMessage(m *sim.Model, cfg Config) (*sim.RunStats, error) {
+	part, err := manual(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.CoreSpeeds != nil {
+		return nil, errors.New("vtime: NullMessage does not model CoreSpeeds")
+	}
+	c := cfg.Cost
+	vc := pdes.VirtualCost{EventNS: c.EventNS, MissNS: c.MissNS, CacheWays: c.CacheWays, MsgNS: c.MsgNS, NullNS: c.NullNS}
+	k := pdes.NullMessageKernel{Part: part, Observe: cfg.Observe}
+	return k.RunVirtual(m, NullMessage.String(), vc)
+}
+
+// manual is the static partition of the rank-per-core algorithms.
+func manual(m *sim.Model, cfg Config) (*core.Partition, error) {
+	if len(cfg.LPOf) != m.Nodes {
+		return nil, fmt.Errorf("vtime: %v requires a manual partition (LPOf) covering every node", cfg.Algo)
+	}
+	return core.Manual(cfg.LPOf, m.Links()), nil
 }
 
 // allReduceProbe stamps the modeled inter-host all-reduce on every

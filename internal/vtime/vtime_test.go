@@ -162,6 +162,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(m3, Config{Algo: NullMessage, LPOf: lpOf}); err == nil {
 		t.Error("null message without StopAt accepted")
 	}
+	// A partition that misses nodes is an error, not a panic.
+	for _, algo := range []Algorithm{Barrier, NullMessage} {
+		m, _, lpOf := scenario(9, 0)
+		if _, err := Run(m, Config{Algo: algo, LPOf: lpOf[:3]}); err == nil {
+			t.Errorf("%v: short partition accepted", algo)
+		}
+	}
+	// The null-message meta-simulation has no core speed model.
+	m4, _, lpOf4 := scenario(9, 0)
+	speeds := []float64{1, 1, 1, 1}
+	if _, err := Run(m4, Config{Algo: NullMessage, LPOf: lpOf4, CoreSpeeds: speeds}); err == nil {
+		t.Error("null message with CoreSpeeds accepted")
+	}
 }
 
 func TestCostModelDefaults(t *testing.T) {
