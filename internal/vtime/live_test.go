@@ -12,12 +12,15 @@ import (
 )
 
 // roundShape is what a run's round structure looks like from outside:
-// the window of every round and the events executed in it, summed over
-// workers from the probe's records.
+// the window of every round and the events executed, cross-LP events
+// received and events left pending in it, summed over workers from the
+// probe's records.
 type roundShape struct {
 	rounds uint64
 	lbts   []sim.Time
 	events []uint64
+	recvs  []uint64
+	depth  []uint64
 }
 
 func shapeOf(t *testing.T, st *sim.RunStats, reg *obs.Registry) roundShape {
@@ -27,11 +30,15 @@ func shapeOf(t *testing.T, st *sim.RunStats, reg *obs.Registry) roundShape {
 		for uint64(len(s.lbts)) <= r.Round {
 			s.lbts = append(s.lbts, r.LBTS)
 			s.events = append(s.events, 0)
+			s.recvs = append(s.recvs, 0)
+			s.depth = append(s.depth, 0)
 		}
 		if s.lbts[r.Round] != r.LBTS {
 			t.Fatalf("%s: round %d: workers disagree on the window (%v vs %v)", st.Kernel, r.Round, s.lbts[r.Round], r.LBTS)
 		}
 		s.events[r.Round] += r.Events
+		s.recvs[r.Round] += r.Recvs
+		s.depth[r.Round] += r.FELDepth
 	}
 	if uint64(len(s.lbts)) != st.Rounds {
 		t.Fatalf("%s: records cover %d rounds, RunStats reports %d", st.Kernel, len(s.lbts), st.Rounds)
@@ -44,7 +51,9 @@ func shapeOf(t *testing.T, st *sim.RunStats, reg *obs.Registry) roundShape {
 // For the barrier, Unison and hybrid policies, the live run (real
 // goroutines) and the virtual run (one goroutine, modeled clocks) must
 // agree on the round count, every round's window and every round's event
-// total — and, for the barrier's pinned ranks, on each rank's events.
+// and received-event totals — and, for the barrier's pinned ranks, on each
+// rank's events. Barrier and Unison must also agree on every round's total
+// FEL depth (the virtual testbed clears FELDepth on hybrid records).
 func TestLiveMatchesVirtualRounds(t *testing.T) {
 	_, _, lpOf := scenario(11, 0.3)
 	hostOf := make([]int32, len(lpOf))
@@ -97,6 +106,12 @@ func TestLiveMatchesVirtualRounds(t *testing.T) {
 			}
 			if !reflect.DeepEqual(ls.events, vs.events) {
 				t.Errorf("per-round event totals differ")
+			}
+			if !reflect.DeepEqual(ls.recvs, vs.recvs) {
+				t.Errorf("per-round received-event totals differ")
+			}
+			if tc.name != "hybrid" && !reflect.DeepEqual(ls.depth, vs.depth) {
+				t.Errorf("per-round FEL depth totals differ")
 			}
 			if tc.name == "barrier" {
 				if got, want := rankEvents(live), rankEvents(virt); got != want {
