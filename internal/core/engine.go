@@ -19,15 +19,21 @@ import (
 // the hybrid kernel (§5.2), the barrier baseline (§2.3) and the virtual
 // testbed's twins of all three. A round has four phases:
 //
-//  1. process — each worker pulls LPs of its group and executes their
-//     events inside the window [.., LBTS);
+//  1. process — each worker pulls LPs of its group's active list (the
+//     LPs with an event before LBTS) and executes their events inside
+//     the window [.., LBTS);
 //  2. globals — with every worker parked, the public LP's events at
 //     exactly LBTS run;
-//  3. receive — each worker pulls LPs of its group and bulk-loads the
-//     cross-LP events staged for them in phase 1;
+//  3. receive — each worker pulls LPs of its group's received list (the
+//     LPs some outbox staged events for) and bulk-loads the cross-LP
+//     events staged for them in phase 1;
 //  4. advance — with every worker parked, the next window is computed by
 //     Equation 2, a checkpoint is taken when due, and the LP order is
 //     rescheduled every period rounds.
+//
+// The engine keeps every LP's next-event time in one flat slice, so an LP
+// with nothing to do in a round is never claimed, popped or gathered: the
+// fine-grained partition (§4.1) costs per round what its busy LPs cost.
 //
 // What differs between kernels is plain data, the Policy: the partition
 // and the worker group owning each LP. What differs between live and
@@ -84,11 +90,15 @@ func (p *Policy) RunVirtual(m *sim.Model, c VirtualCost) (*sim.RunStats, error) 
 type lpState struct {
 	fel *eventq.Queue
 	// est is the scheduling estimate; lastP the measured (or modeled)
-	// processing cost of the previous round; pending the events received
-	// last round.
+	// processing cost of the last round the LP ran; pending the events it
+	// received the last round it received any. The scheduler reads lastP
+	// and pending only for LPs on the last round's lists, so a value left
+	// from an earlier round never reaches an estimate.
 	est     int64
 	lastP   int64
 	pending int64
+	// depth is the FEL's length when the LP last settled.
+	depth int64
 	// lastW is 1 + the worker that ran this LP last round (0 = never);
 	// only maintained when a probe is attached, to count migrations.
 	lastW int32
@@ -106,23 +116,46 @@ func (lp *lpState) migrated(w int) bool {
 // its workers share. Groups never pull each other's LPs, so a group of
 // one worker and one LP runs pinned, like a barrier rank.
 type group struct {
-	lps   []int32 // receive order: ascending LP index
+	lps   []int32 // ascending LP index
 	order []int32 // process order: longest estimated job first
 	w0    int     // first worker
 	nw    int     // worker count
-	// cursor1 and cursor3 index order and lps in phases 1 and 3. They are
-	// reset in the serial phases and padded onto their own cache line.
+	// depth is the number of events pending in the group's FELs after the
+	// last round; the live executor keeps it when a probe is attached.
+	depth int64
+	// cursor1 and cursor3 index the group's active list in phase 1 and
+	// its received list in phase 3. They are reset in the serial phases
+	// and padded onto their own cache line.
 	_       [64]byte
 	cursor1 atomic.Int64
 	cursor3 atomic.Int64
 	_       [48]byte
 }
 
+// depthShare is worker w's even share of the group's pending events; the
+// shares of a group's workers sum to its depth.
+func (g *group) depthShare(w int) uint64 {
+	d, nw := uint64(g.depth), uint64(g.nw)
+	share := d / nw
+	if uint64(w-g.w0) < d%nw {
+		share++
+	}
+	return share
+}
+
 type workerState struct {
 	events  uint64
 	lastT   sim.Time
 	p, s, m int64
-	_       [8]int64 // avoid false sharing between workers' hot counters
+	// depth is the change in FEL length this worker settled since the
+	// last fold into its group.
+	depth int64
+	// act and got are the round's active and received lists of the
+	// worker's group (every worker of a group builds the same lists; the
+	// virtual executor builds them on the group's first worker only). ran
+	// holds the LPs this worker processed in phase 1.
+	act, got, ran []int32
+	_             [8]int64 // avoid false sharing between workers' hot counters
 }
 
 // engine is the shared state of one run.
@@ -145,9 +178,15 @@ type engine struct {
 	lbts      sim.Time
 	lookahead sim.Time
 
+	// next[lp] is LP lp's next-event time. It is exact between rounds and
+	// written only by the LP's settle, in phases 2 and 3, so phase 1 can
+	// read it from every worker.
+	next []sim.Time
 	// workerMin[w] is the earliest pending event time over the LPs worker
-	// w received for in phase 3.
+	// w accounts for in the Equation 2 fold (advance), and globMin the
+	// earliest over every LP after a phase-2 global event ran.
 	workerMin []sim.Time
+	globMin   sim.Time
 
 	stopped bool
 	done    bool
@@ -247,6 +286,8 @@ func newEngine(m *sim.Model, pol *Policy) (*engine, error) {
 		seqs:      sim.NewSeqTable(m.Nodes),
 		lookahead: part.Lookahead,
 		groups:    make([]group, len(pol.Workers)),
+		next:      make([]sim.Time, n),
+		globMin:   sim.MaxTime,
 	}
 	for i := range e.lps {
 		e.lps[i].fel = eventq.New(64)
@@ -288,17 +329,49 @@ func newEngine(m *sim.Model, pol *Policy) (*engine, error) {
 			e.lps[part.LPOf[ev.Node]].fel.Push(ev)
 		}
 	}
+	for i := range e.lps {
+		lp := &e.lps[i]
+		e.next[i] = lp.fel.NextTime()
+		lp.depth = int64(lp.fel.Len())
+		e.groups[pol.GroupOf[i]].depth += lp.depth
+	}
 	return e, nil
 }
 
 // allMin is the earliest pending event time over every LP.
 func (e *engine) allMin() sim.Time {
 	t := sim.MaxTime
-	for i := range e.lps {
-		if n := e.lps[i].fel.NextTime(); n < t {
-			t = n
+	for _, n := range e.next {
+		t = min(t, n)
+	}
+	return t
+}
+
+// activate appends to act the LPs of g, in process order, whose next
+// event lies inside the window, and returns the earliest next-event time
+// over the others. Every LP on the list runs at least one event in phase
+// 1, and no other LP has one to run.
+func (e *engine) activate(g *group, act []int32) ([]int32, sim.Time) {
+	idle := sim.MaxTime
+	for _, lp := range g.order {
+		if t := e.next[lp]; t < e.lbts {
+			act = append(act, lp)
+		} else {
+			idle = min(idle, t)
 		}
 	}
+	return act, idle
+}
+
+// settle records LP lpIdx's next-event time after its FEL changed in the
+// round, credits the change in the FEL's length to ws and returns the
+// next-event time.
+func (e *engine) settle(lpIdx int32, ws *workerState) sim.Time {
+	lp := &e.lps[lpIdx]
+	t, n := lp.fel.NextTime(), int64(lp.fel.Len())
+	e.next[lpIdx] = t
+	ws.depth += n - lp.depth
+	lp.depth = n
 	return t
 }
 
@@ -370,8 +443,15 @@ func (e *engine) globals(ctx *sim.Ctx, sink *workerSink) (cost int64) {
 	}
 	if executed {
 		// A global event may have mutated the topology: recompute the
-		// lookahead from the live link set (§4.2).
+		// lookahead from the live link set (§4.2). It may also have
+		// inserted into any LP's FEL, so every LP settles.
 		e.lookahead = CutLookahead(e.part.LPOf, e.m.Links())
+		for gi := range e.groups {
+			g := &e.groups[gi]
+			for _, lp := range g.lps {
+				e.globMin = min(e.globMin, e.settle(lp, &e.workers[g.w0]))
+			}
+		}
 		if ctx.Stopped() {
 			e.stopped = true
 		}
@@ -395,11 +475,10 @@ func (e *engine) receive(lpIdx int32, scratch *[]sim.Event) int {
 // workers' minimum next-event times, decides termination, opens the next
 // window by Equation 2, takes a due checkpoint and reschedules.
 func (e *engine) advance() {
-	allMin := sim.MaxTime
+	allMin := e.globMin
+	e.globMin = sim.MaxTime
 	for _, t := range e.workerMin {
-		if t < allMin {
-			allMin = t
-		}
+		allMin = min(allMin, t)
 	}
 	pubNext := e.pub.NextTime()
 	e.round++
@@ -433,18 +512,27 @@ func (e *engine) rescheduleDue() bool {
 	return e.pol.Metric != MetricNone && e.round%e.period == 0
 }
 
-// reschedule re-sorts each group's LP order by the scheduling estimate.
+// reschedule re-sorts each group's LP order by the scheduling estimate:
+// the last round's processing cost of the LPs that ran in it
+// (MetricPrevTime) or the events received by the LPs that received
+// (MetricPendingEvents), and 0 for every other LP.
 func (e *engine) reschedule() {
 	for i := range e.lps {
-		lp := &e.lps[i]
-		if e.pol.Metric == MetricPrevTime {
-			lp.est = lp.lastP
-		} else {
-			lp.est = lp.pending
-		}
+		e.lps[i].est = 0
 	}
 	for gi := range e.groups {
-		ord := e.groups[gi].order
+		g := &e.groups[gi]
+		ws := &e.workers[g.w0]
+		if e.pol.Metric == MetricPrevTime {
+			for _, lp := range ws.act {
+				e.lps[lp].est = e.lps[lp].lastP
+			}
+		} else {
+			for _, lp := range ws.got {
+				e.lps[lp].est = e.lps[lp].pending
+			}
+		}
+		ord := g.order
 		sort.SliceStable(ord, func(a, b int) bool {
 			return e.lps[ord[a]].est > e.lps[ord[b]].est
 		})

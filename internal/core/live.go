@@ -39,7 +39,8 @@ func (e *engine) runLive() {
 
 // liveWorker is worker w's round loop.
 func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
-	g := &e.groups[e.groupOf[w]]
+	gi := e.groupOf[w]
+	g := &e.groups[gi]
 	ob := &e.outboxes[w]
 	sink := &workerSink{e: e, w: w, ob: ob}
 	ctx := sim.NewCtx(sink, w)
@@ -71,6 +72,13 @@ func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
 			samp.Phase1 = samp.Makespan
 			e.trace = append(e.trace, samp)
 		}
+		if probe != nil {
+			for v := range e.workers {
+				ws := &e.workers[v]
+				e.groups[e.groupOf[v]].depth += ws.depth
+				ws.depth = 0
+			}
+		}
 		e.advance()
 		for gi := range e.groups {
 			e.groups[gi].cursor1.Store(0)
@@ -87,11 +95,16 @@ func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
 		evStart := ws.events
 		var migrations uint64
 		// Phase 1: process events within the window, pulling the group's
-		// LPs in longest-estimated-job-first order. The previous round's
-		// staged events were all delivered in phase 3, so the outbox can
-		// be recycled before the first Put.
+		// active LPs in longest-estimated-job-first order. Every worker of
+		// the group builds the same list from e.next, which no worker
+		// writes before the phase-2 barrier. The previous round's staged
+		// events were all delivered in phase 3, so the outbox can be
+		// recycled before the first Put.
 		ob.reset()
-		nLP := int64(len(g.order))
+		var idleMin sim.Time
+		ws.act, idleMin = e.activate(g, ws.act[:0])
+		ws.ran = ws.ran[:0]
+		nLP := int64(len(ws.act))
 		if timed {
 			clock.start()
 		}
@@ -100,12 +113,13 @@ func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
 			if i >= nLP {
 				break
 			}
-			lpIdx := g.order[i]
+			lpIdx := ws.act[i]
 			nev, _ := e.runLP(ctx, sink, lpIdx)
+			ws.ran = append(ws.ran, lpIdx)
 			if timed && clock.note(lpIdx, nev) {
 				clock.flush(e.lps)
 			}
-			if probe != nil && nev > 0 && e.lps[lpIdx].migrated(w) {
+			if probe != nil && e.lps[lpIdx].migrated(w) {
 				migrations++
 			}
 		}
@@ -122,23 +136,26 @@ func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
 		s1 := sw.Lap()
 		ws.s += s1
 
-		// Phase 3: receive for the group's LPs and compute the local
-		// minimum next-event time.
-		locMin := sim.MaxTime
-		n3 := int64(len(g.lps))
-		var recvd, depth uint64
+		// Phase 3: receive for the group's received list, then settle the
+		// LPs this worker ran that received nothing (an LP that received
+		// settles on its receiver). With the idle LPs' unchanged times,
+		// this worker's minimum covers its share of Equation 2.
+		ws.got = staged(e.outboxes, e.pol.GroupOf, gi, ws.got[:0]) //unison:owner transfer phase-2 barrier published every worker's phase-1 puts
+		locMin := idleMin
+		n3 := int64(len(ws.got))
+		var recvd uint64
 		for {
 			i := g.cursor3.Add(1) - 1
 			if i >= n3 {
 				break
 			}
-			lpIdx := g.lps[i]
-			k := e.receive(lpIdx, &recv)
-			fel := e.lps[lpIdx].fel
-			locMin = min(locMin, fel.NextTime())
-			if probe != nil {
-				recvd += uint64(k)
-				depth += uint64(fel.Len())
+			lpIdx := ws.got[i]
+			recvd += uint64(e.receive(lpIdx, &recv))
+			locMin = min(locMin, e.settle(lpIdx, ws))
+		}
+		for _, lpIdx := range ws.ran {
+			if !stagedAny(e.outboxes, lpIdx) { //unison:owner transfer phase-2 barrier published every worker's phase-1 puts
+				locMin = min(locMin, e.settle(lpIdx, ws))
 			}
 		}
 		e.workerMin[w] = locMin
@@ -153,7 +170,7 @@ func (e *engine) liveWorker(w int, bar *syncx.Barrier, roundP []int64) {
 				Events: ws.events - evStart,
 				ProcNS: p1, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1,
 				Sends: sends, SendBytes: sends * obs.EventBytes,
-				Recvs: recvd, FELDepth: depth, Migrations: migrations,
+				Recvs: recvd, FELDepth: g.depthShare(w), Migrations: migrations,
 			}
 			probe.OnRound(&rec)
 		}

@@ -78,6 +78,34 @@ func (o *outbox) reset() {
 	o.buf = o.buf[:0]
 }
 
+// staged appends to dst the LPs of group gi (groupOf maps LP to group)
+// that some outbox staged events for, each once, and returns the extended
+// slice: phase 3's received list.
+//
+//unison:owner consumer
+func staged(outboxes []outbox, groupOf []int32, gi int32, dst []int32) []int32 {
+	for w := range outboxes {
+		for _, lp := range outboxes[w].touched {
+			if groupOf[lp] == gi && !stagedAny(outboxes[:w], lp) {
+				dst = append(dst, lp)
+			}
+		}
+	}
+	return dst
+}
+
+// stagedAny reports whether any of outboxes staged events for lp.
+//
+//unison:owner consumer
+func stagedAny(outboxes []outbox, lp int32) bool {
+	for w := range outboxes {
+		if outboxes[w].head[lp] >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // gather appends every staged event addressed to lp, across all workers'
 // outboxes, to dst and returns the extended slice.
 //

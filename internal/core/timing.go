@@ -15,8 +15,10 @@ import "time"
 // nanoseconds of measured phase-1 work attributed to that LP in the round
 // just finished — while cutting clock reads by ~timingBatch×.
 //
-// When a whole batch lands inside the clock's resolution (elapsed == 0),
-// the event counts themselves become the estimate: for such tiny LPs the
+// Phase 1 visits only LPs with an event inside the window, so every LP in
+// a batch ran at least one event and the counts never sum to zero. When a
+// whole batch lands inside the clock's resolution (elapsed == 0), the
+// event counts themselves become the estimate: for such tiny LPs the
 // scheduler only needs the relative ordering, which event counts preserve
 // at a resolution wall time cannot offer.
 const timingBatch = 16
@@ -61,19 +63,12 @@ func (c *lpClock) flush(lps []lpState) {
 	for i := 0; i < c.n; i++ {
 		total += c.evs[i]
 	}
-	switch {
-	case elapsed <= 0:
+	if elapsed <= 0 {
 		// Below timer resolution: fall back to event counts.
 		for i := 0; i < c.n; i++ {
 			lps[c.lps[i]].lastP = c.evs[i]
 		}
-	case total == 0:
-		// Only empty LPs: split the (pure loop overhead) window evenly.
-		share := elapsed / int64(c.n)
-		for i := 0; i < c.n; i++ {
-			lps[c.lps[i]].lastP = share
-		}
-	default:
+	} else {
 		for i := 0; i < c.n; i++ {
 			lps[c.lps[i]].lastP = elapsed * c.evs[i] / total
 		}

@@ -31,9 +31,11 @@ type VirtualCost struct {
 // runVirtual is the virtual executor: every worker owns a virtual clock,
 // and one goroutine runs the four phases of each round worker by worker.
 // Phase 1 is the live kernel's longest-job-first pull replayed as list
-// scheduling: each LP of a group, in the group's order, goes to the
-// group's worker whose clock is earliest. The simulation itself executes
-// for real, so results match the live executor; only time is modeled.
+// scheduling: each LP of a group's active list, in the group's order,
+// goes to the group's worker whose clock is earliest. Phase 3 visits
+// every LP, so each worker's FEL depth counts the LPs placed on it. The
+// simulation itself executes for real, so results match the live
+// executor; only time is modeled.
 func (e *engine) runVirtual(c *VirtualCost) {
 	n := len(e.workers)
 	speeds := c.Speeds
@@ -75,7 +77,10 @@ func (e *engine) runVirtual(c *VirtualCost) {
 		var totalCost, maxLP int64
 		for gi := range e.groups {
 			g := &e.groups[gi]
-			for _, lpIdx := range g.order {
+			ws := &e.workers[g.w0]
+			ws.act, _ = e.activate(g, ws.act[:0])
+			ws.got = ws.got[:0]
+			for _, lpIdx := range ws.act {
 				lp := &e.lps[lpIdx]
 				var w int
 				if c.SpeedAware {
@@ -83,12 +88,12 @@ func (e *engine) runVirtual(c *VirtualCost) {
 				} else {
 					w = earliest(avail, g.w0, g.nw)
 				}
-				nev, cost := e.runLP(ctxs[w], sinks[w], lpIdx)
+				_, cost := e.runLP(ctxs[w], sinks[w], lpIdx)
 				lp.lastP = cost
 				wall := int64(float64(cost) / speeds[w])
 				avail[w] += wall
 				busyP[w] += wall
-				if probe != nil && nev > 0 && lp.migrated(w) {
+				if probe != nil && lp.migrated(w) {
 					migr[w]++
 				}
 				totalCost += cost
@@ -104,16 +109,19 @@ func (e *engine) runVirtual(c *VirtualCost) {
 		}
 		for gi := range e.groups {
 			g := &e.groups[gi]
+			ws := &e.workers[g.w0]
 			for _, lpIdx := range g.lps {
 				w := earliest(avail, g.w0, g.nw)
 				k := e.receive(lpIdx, &recv)
+				if k > 0 {
+					ws.got = append(ws.got, lpIdx)
+				}
 				mc := int64(float64(int64(k)*c.MsgNS) / speeds[w])
 				avail[w] += mc
 				busyM[w] += mc
-				fel := e.lps[lpIdx].fel
-				e.workerMin[w] = min(e.workerMin[w], fel.NextTime())
+				e.workerMin[w] = min(e.workerMin[w], e.settle(lpIdx, &e.workers[w]))
 				recvd[w] += uint64(k)
-				depth[w] += uint64(fel.Len())
+				depth[w] += uint64(e.lps[lpIdx].depth)
 			}
 		}
 		span3 := maxOf(avail)

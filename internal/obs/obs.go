@@ -72,8 +72,13 @@ type RoundRecord struct {
 	// Recvs counts cross-LP events delivered into this worker's LPs in
 	// the receive phase.
 	Recvs uint64 `json:"mailbox_recvs"`
-	// FELDepth is the total number of pending events in the FELs this
-	// worker drained mailboxes for, measured after the receive phase.
+	// FELDepth is this worker's part of the events pending in the FELs
+	// after the receive phase: the live round engine splits its worker
+	// group's count evenly over the group's workers, the virtual executor
+	// counts the FELs this worker received for, and the single-rank
+	// kernels count their own FEL. Summed over a round's workers, it is
+	// every pending event of the round (the virtual testbed's v-hybrid
+	// records report none).
 	FELDepth uint64 `json:"fel_depth"`
 	// Migrations counts LPs this worker executed that ran on a different
 	// worker in the previous round (the load-adaptive scheduler at work).
